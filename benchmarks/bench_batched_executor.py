@@ -15,8 +15,8 @@ configurations:
 
 All three must return the same vehicles; the fused run must charge at
 least 5x fewer page I/Os than the unbatched one (the tier-1 smoke
-assertion).  Results land in ``BENCH_pr6.json`` at the repo root with
-schema ``{workload, unbatched_io, deref_cache_io, fused_io, wall_time}``.
+assertion).  Results land in ``BENCH_pr6.json`` under ``benchmarks/out/``
+with schema ``{workload, unbatched_io, deref_cache_io, fused_io, wall_time}``.
 
 The data is padded so the chased extents span many pages and the 4-frame
 buffer pool cannot absorb the chases: the reductions come from batching
@@ -26,7 +26,6 @@ and clustering, not buffer-pool luck.
 from __future__ import annotations
 
 import json
-import pathlib
 import time
 
 import pytest
@@ -37,9 +36,8 @@ from repro.optimizer.fuse import fuse_query_plan
 from repro.optimizer.plan import FusedTraversalNode, JoinNode
 from repro.sql.parser import parse
 
-from conftest import emit
+from conftest import emit, smoke_path
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 WORKLOAD_SQL = (
     "SELECT v FROM BenchVehicle v "
@@ -169,7 +167,7 @@ def test_batched_executor_reduces_charged_io_and_writes_bench_json():
         "fused_io": fused_io,
         "wall_time": round(wall_time, 3),
     }
-    (REPO_ROOT / "BENCH_pr6.json").write_text(
+    smoke_path("BENCH_pr6.json").write_text(
         json.dumps(record, indent=2) + "\n"
     )
 
@@ -185,7 +183,7 @@ def test_batched_executor_reduces_charged_io_and_writes_bench_json():
         f"cache:          hits={stats.hits} misses={stats.misses} "
         f"batches={stats.batches}",
         f"wall_time:      {record['wall_time']} s",
-    ]))
+    ]), smoke=True)
 
 
 @pytest.mark.smoke

@@ -5,8 +5,9 @@ as a forced forward traversal -- the pointer-chasing plan Table 16 prices
 at one random I/O per chase -- once with the deref fast path on and once
 with it off, over identical databases.  The cached run must charge
 strictly fewer disk operations (the smoke assertion that runs in tier-1),
-and the measured reduction is written to ``BENCH_pr2.json`` at the repo
-root with schema ``{workload, cached_io, uncached_io, wall_time}``.
+and the measured reduction is written to ``BENCH_pr2.json`` under
+``benchmarks/out/`` with schema ``{workload, cached_io, uncached_io,
+wall_time}``.
 
 The data is padded so the chased extents span many pages and sized so the
 4-frame buffer pool cannot absorb the chases by itself: every saving the
@@ -17,7 +18,6 @@ batches, not from buffer-pool luck.
 from __future__ import annotations
 
 import json
-import pathlib
 import time
 
 import pytest
@@ -27,9 +27,8 @@ from repro.engine.executor import Executor
 from repro.optimizer.plan import JoinNode
 from repro.sql.parser import parse
 
-from conftest import emit
+from conftest import emit, smoke_path
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 WORKLOAD_SQL = (
     "SELECT v FROM BenchVehicle v "
@@ -147,7 +146,7 @@ def test_deref_cache_reduces_charged_io_and_writes_bench_json():
         "uncached_io": uncached_io,
         "wall_time": round(wall_time, 3),
     }
-    (REPO_ROOT / "BENCH_pr2.json").write_text(
+    smoke_path("BENCH_pr2.json").write_text(
         json.dumps(record, indent=2) + "\n"
     )
 
@@ -161,7 +160,7 @@ def test_deref_cache_reduces_charged_io_and_writes_bench_json():
         f"cache:        hits={stats.hits} misses={stats.misses} "
         f"hit-ratio={stats.hit_ratio:.1%} batches={stats.batches}",
         f"wall_time:    {record['wall_time']} s",
-    ]))
+    ]), smoke=True)
 
 
 def test_deref_cache_example81_paper_schema():

@@ -38,7 +38,7 @@ def test_explain_analyze_round_trip_smoke():
     checks = CostValidator().validate_report(result.report)
     assert all(check.estimated > 0 for check in checks)
 
-    emit("explain_analyze_smoke", text)
+    emit("explain_analyze_smoke", text, smoke=True)
 
 
 def test_explain_analyze_example82(live_db, benchmark):

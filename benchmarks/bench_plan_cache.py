@@ -16,14 +16,13 @@ Section 3.1 vehicle/company database:
   then EXECUTEs with bind parameters), and the server-side
   ``STATS.plancache`` numbers come back over the wire.
 
-The smoke run executes in tier-1 and writes ``BENCH_pr5.json`` at the
-repo root.
+The smoke run executes in tier-1 and writes ``BENCH_pr5.json`` under
+``benchmarks/out/``.
 """
 
 from __future__ import annotations
 
 import json
-import pathlib
 import statistics
 import time
 
@@ -36,9 +35,8 @@ from repro.core.prepare import render_statement, rewrite_statement
 from repro.server import MoodClient, MoodServer, ServerConfig
 from repro.sql.parser import parse as parse_sql
 
-from conftest import emit
+from conftest import emit, smoke_path
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 SMOKE_SCALE = 80
 COMPILE_ITERATIONS = 30
@@ -143,8 +141,9 @@ def test_plan_cache_smoke():
     finally:
         server.stop()
 
-    emit("plan_cache_smoke", _format(compile_stats, cache, report))
-    (REPO_ROOT / "BENCH_pr5.json").write_text(json.dumps({
+    emit("plan_cache_smoke", _format(compile_stats, cache, report),
+         smoke=True)
+    smoke_path("BENCH_pr5.json").write_text(json.dumps({
         "compile": compile_stats,
         "workload": report.summary(),
         "plancache": cache,

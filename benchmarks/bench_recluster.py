@@ -10,9 +10,9 @@ relocates co-accessed Parts onto shared pages.
 The tier-1 smoke assertion is the ISSUE's acceptance bar: the charged
 read I/O of the cold traversal drops by at least 2x after reclustering
 (measured ~6x at this scale).  Both traversals return identical rows --
-reclustering is purely physical.  Results land in ``BENCH_pr10.json`` at
-the repo root with schema ``{workload, io_before, io_after, reduction,
-moves, batches, wall_time}``.
+reclustering is purely physical.  Results land in ``BENCH_pr10.json``
+under ``benchmarks/out/`` with schema ``{workload, io_before, io_after,
+reduction, moves, batches, wall_time}``.
 
 Cold protocol: checkpoint (so dropping frames cannot lose dirty pages),
 drop every buffer frame, clear the object cache, and run the traversal
@@ -22,7 +22,6 @@ row-at-a-time (batch off) so every chase pays its own page fetch.
 from __future__ import annotations
 
 import json
-import pathlib
 import random
 import time
 
@@ -30,9 +29,8 @@ import pytest
 
 from repro.core.database import MoodDatabase
 
-from conftest import emit
+from conftest import emit, smoke_path
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 NUM_PARTS = 1200
 NUM_WIDGETS = 1200
@@ -107,7 +105,7 @@ def test_reclustering_halves_cold_traversal_io_and_writes_bench_json():
         "batches": stats["batches"],
         "wall_time": round(wall_time, 3),
     }
-    (REPO_ROOT / "BENCH_pr10.json").write_text(
+    smoke_path("BENCH_pr10.json").write_text(
         json.dumps(record, indent=2) + "\n"
     )
 
@@ -121,4 +119,4 @@ def test_reclustering_halves_cold_traversal_io_and_writes_bench_json():
         f"moves:      {stats['moves']} relocations "
         f"in {stats['batches']} batch(es)",
         f"wall_time:  {record['wall_time']} s",
-    ]))
+    ]), smoke=True)

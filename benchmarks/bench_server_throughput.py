@@ -7,7 +7,7 @@ connections at it with a mixed read / path-query / update workload, every
 transaction riding BEGIN..COMMIT with deadlock-retry backoff.
 
 The 4-client smoke run executes in tier-1 and writes ``BENCH_pr4.json``
-at the repo root: the client-observed transaction percentiles
+under ``benchmarks/out/``: the client-observed transaction percentiles
 (``{clients, txns, throughput_tps, p50_ms, p95_ms, p99_ms, abort_rate}``)
 plus the *server-side* telemetry the PR 4 observability layer records --
 ``statement_ms`` and admission ``queue_wait_ms`` histogram percentiles,
@@ -35,7 +35,7 @@ from repro.server import (
     ShardedServer,
 )
 
-from conftest import emit
+from conftest import emit, smoke_path
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -106,10 +106,10 @@ def test_server_throughput_smoke():
     finally:
         server.stop()
 
-    emit("server_throughput_smoke", _format(report))
+    emit("server_throughput_smoke", _format(report), smoke=True)
     payload = report.summary()
     payload["server"] = server_side
-    (REPO_ROOT / "BENCH_pr4.json").write_text(
+    smoke_path("BENCH_pr4.json").write_text(
         json.dumps(payload, indent=2) + "\n"
     )
 
@@ -177,7 +177,7 @@ def test_sharded_throughput_smoke():
     finally:
         router.stop()
 
-    emit("sharded_throughput_smoke", _format(report))
+    emit("sharded_throughput_smoke", _format(report), smoke=True)
     assert report.txns == 4 * 6
     assert report.committed == report.txns, report.errors
     # The workload ran through the router, not around it.
@@ -400,7 +400,7 @@ def test_tracing_overhead_smoke():
         "overhead": round(overhead, 4),
         "best_round_overhead": round(best_round_overhead, 4),
     }
-    (REPO_ROOT / "BENCH_pr9.json").write_text(
+    smoke_path("BENCH_pr9.json").write_text(
         json.dumps(payload, indent=2) + "\n"
     )
     emit("tracing_overhead_smoke", "\n".join([
@@ -408,7 +408,7 @@ def test_tracing_overhead_smoke():
         f"  median tps on  : {median_on:.1f}",
         f"  median tps off : {median_off:.1f}",
         f"  overhead       : {overhead:.1%} (median paired round ratio)",
-    ]))
+    ]), smoke=True)
     assert best_round_overhead <= 0.08, payload
 
 

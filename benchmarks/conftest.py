@@ -16,17 +16,32 @@ from repro.core.database import MoodDatabase
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
+#: Smoke runs -- the benchmark items the tier-1 suite executes -- write
+#: their artifacts and BENCH records here, a gitignored directory, so
+#: running the tests leaves the working tree clean.  The tracked
+#: ``benchmarks/output/*_smoke.txt`` and root ``BENCH_prN.json`` files are
+#: recorded results; refresh one on purpose by copying it from here.
+SMOKE_DIR = pathlib.Path(__file__).parent / "out"
+
 #: Scale (|Vehicle|) for live-data benchmarks; the paper's 20,000 is
 #: reproduced analytically, measurement uses this laptop-friendly scale.
 LIVE_SCALE = 300
 
 
-def emit(name: str, text: str) -> None:
-    """Print an artifact and persist it under benchmarks/output/."""
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    (OUTPUT_DIR / f"{name}.txt").write_text(text + "\n")
+def emit(name: str, text: str, smoke: bool = False) -> None:
+    """Print an artifact and persist it under benchmarks/output/ (under
+    :data:`SMOKE_DIR` for smoke runs)."""
+    directory = SMOKE_DIR if smoke else OUTPUT_DIR
+    directory.mkdir(exist_ok=True)
+    (directory / f"{name}.txt").write_text(text + "\n")
     print(f"\n===== {name} =====")
     print(text)
+
+
+def smoke_path(name: str) -> pathlib.Path:
+    """Where a smoke run writes the file ``name`` (e.g. its BENCH record)."""
+    SMOKE_DIR.mkdir(exist_ok=True)
+    return SMOKE_DIR / name
 
 
 def pytest_collection_modifyitems(config, items):

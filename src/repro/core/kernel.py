@@ -31,7 +31,12 @@ from repro.core.prepare import (
 from repro.cost.params import DatabaseStats
 from repro.cost.statistics import collect_statistics
 from repro.engine.cursor import ObjectCursor
-from repro.engine.evaluator import ExpressionEvaluator, Row
+from repro.engine.evaluator import (
+    ExpressionEvaluator,
+    Row,
+    compile_cached,
+    compile_expr,
+)
 from repro.engine.executor import Executor, TraceEvent
 from repro.engine.indexes import IndexManager
 from repro.engine.objects import ObjectManager
@@ -444,7 +449,7 @@ class MoodKernel:
             spans=spans,
         )
         binding_rows = executor.execute_plan(plan)
-        columns, rows = self._project(query, binding_rows)
+        columns, rows = self._project(query, binding_rows, plan)
         if query.distinct:
             rows = _dedup_tuples(rows)
         self.functions.end_scope()  # statement boundary unloads functions
@@ -538,10 +543,9 @@ class MoodKernel:
                 for values in view.supplier()
             ]
             if query.where is not None:
-                binding_rows = [
-                    row for row in binding_rows
-                    if self.evaluator.predicate(query.where, row)
-                ]
+                binding_rows = self.evaluator.filter_batch(
+                    (query.where,), binding_rows, prefetch=False,
+                )
             return binding_rows
 
         if spans is not None:
@@ -551,10 +555,12 @@ class MoodKernel:
         else:
             binding_rows = scan()
         for item in reversed(query.order_by):
-            binding_rows.sort(
-                key=lambda row: self.evaluator.value(item.expr, row),
-                reverse=not item.ascending,
-            )
+            keys = [key for (key,) in self.evaluator.values_batch(
+                (item.expr,), binding_rows, prefetch=False,
+            )]
+            order = sorted(range(len(keys)), key=keys.__getitem__,
+                           reverse=not item.ascending)
+            binding_rows = [binding_rows[index] for index in order]
         columns, rows = self._project(query, binding_rows)
         if query.distinct:
             rows = _dedup_tuples(rows)
@@ -647,16 +653,18 @@ class MoodKernel:
         stats["enabled"] = 1.0 if self.objects.cache_enabled else 0.0
         return stats
 
-    def _project(self, query: SelectQuery, binding_rows: list[Row]):
+    def _project(self, query: SelectQuery, binding_rows: list[Row],
+                 plan: QueryPlan | None = None):
         if query.projections:
             columns = [str(p) for p in query.projections]
-            rows = [
-                tuple(
-                    self.evaluator.value(projection, row)
-                    for projection in query.projections
-                )
-                for row in binding_rows
+            # A cached plan carries its own (textually identical)
+            # projections, compiled on its first execution.
+            projections = query.projections if plan is None else [
+                compile_cached(plan.compiled, p) for p in plan.projections
             ]
+            rows = self.evaluator.values_batch(
+                projections, binding_rows, prefetch=False,
+            )
         else:
             columns = [r.var for r in query.ranges]
             rows = [
@@ -774,7 +782,8 @@ class MoodKernel:
                                                 include=include)
         ]
         if where is not None:
-            rows = [r for r in rows if self.evaluator.predicate(where, r)]
+            rows = self.evaluator.filter_batch((where,), rows,
+                                               prefetch=False)
         return rows
 
     def _execute_delete(self, statement: DeleteStmt) -> StatementResult:
@@ -785,10 +794,14 @@ class MoodKernel:
 
     def _execute_update(self, statement: UpdateStmt) -> StatementResult:
         rows = self._matching_rows(statement.range_var, statement.where)
+        assignments = [
+            (attribute, compile_expr(expr))
+            for attribute, expr in statement.assignments
+        ]
         for row in rows:
             obj = row[statement.range_var.var]
-            for attribute, expr in statement.assignments:
-                obj.state[attribute] = self.evaluator.value(expr, row)
+            for attribute, compiled in assignments:
+                obj.state[attribute] = self.evaluator.value(compiled, row)
             self.objects.update_object(obj)
         return StatementResult("UPDATE", count=len(rows))
 

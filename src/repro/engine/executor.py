@@ -14,13 +14,19 @@ trace event is also attached to the span open at emission time.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from repro.catalog.catalog import Catalog
 from repro.core.errors import ExecutionError
 from repro.engine.batch import RowBatch, batch_deref_enabled
-from repro.engine.evaluator import ExpressionEvaluator, Row
+from repro.engine.evaluator import (
+    CompiledExpr,
+    ExpressionEvaluator,
+    Row,
+    compile_cached,
+)
 from repro.engine.indexes import IndexManager
 from repro.engine.joins import (
     PipelinedLeaf,
@@ -30,6 +36,7 @@ from repro.engine.joins import (
     hash_partition_join,
     nested_loop_join,
 )
+from repro.engine.objects import PartialObject
 from repro.optimizer.plan import (
     BindNode,
     DupElimNode,
@@ -69,6 +76,13 @@ class Executor:
     page-clustered ``deref_many`` call (when ``objects.batch_enabled``
     and the deref cache allow; otherwise execution degrades to the
     paper's one-chase-one-read behaviour row by row).
+
+    Expressions are compiled once per plan (memoised on
+    ``QueryPlan.compiled``).  Extent scans decode only the attributes the
+    plan reads of their variable (:meth:`_scan_fields`); the partial
+    objects that survive are completed from the records already read
+    before :meth:`execute_plan` returns, so callers only ever see whole
+    objects.
     """
 
     objects: Any
@@ -79,11 +93,61 @@ class Executor:
     spans: Any = None    # optional repro.obs.spans.SpanRecorder
     _temp_cache: dict[str, RowBatch] = field(default_factory=dict)
     _output_vars: frozenset[str] = frozenset()
+    _compiled: dict = field(default_factory=dict)
+    _fields: dict[str, frozenset[str]] = field(default_factory=dict)
 
     def execute_plan(self, plan: QueryPlan) -> list[Row]:
         self._temp_cache = {}
         self._output_vars = frozenset(plan.output_vars)
-        return self._exec(plan.root).rows
+        self._compiled = plan.compiled
+        self._fields = self._scan_fields(plan)
+        rows = self._exec(plan.root).rows
+        if self._fields:
+            self._complete(rows)
+        return rows
+
+    def _c(self, expr) -> CompiledExpr:
+        return compile_cached(self._compiled, expr)
+
+    def _cs(self, exprs: Iterable) -> tuple[CompiledExpr, ...]:
+        return tuple(compile_cached(self._compiled, e) for e in exprs)
+
+    # -- projected scans ---------------------------------------------------
+
+    def _scan_fields(self, plan: QueryPlan) -> dict[str, frozenset[str]]:
+        """Per range variable, the attributes execution reads of its
+        objects: first path steps of every predicate and key, plus the
+        reference attributes joins traverse.  A variable used whole (a
+        method receiver, an object as a value) or never read at all is
+        scanned whole; if the evaluator cannot say what an expression
+        reads, every scan is."""
+        reads: dict[str, set | None] = {}
+        for node in _plan_nodes(plan):
+            for expr in _node_exprs(node):
+                expr_reads = self.evaluator.reads(self._c(expr))
+                if expr_reads is None:
+                    return {}
+                for var, attrs in expr_reads.items():
+                    _merge_reads(reads, var, attrs)
+            for var, attr in _node_attrs(node):
+                _merge_reads(reads, var, (attr,))
+        return {
+            var: frozenset(attrs) for var, attrs in reads.items()
+            if attrs is not None
+        }
+
+    def _complete(self, rows: list[Row]) -> None:
+        """Replace every partial object in ``rows`` by the whole object
+        (one decode per distinct object, shared by all its rows)."""
+        whole: dict[int, Any] = {}
+        complete = self.objects.complete
+        for row in rows:
+            for var, obj in row.items():
+                if obj.__class__ is PartialObject:
+                    full = whole.get(id(obj))
+                    if full is None:
+                        full = whole[id(obj)] = complete(obj)
+                    row[var] = full
 
     def _emit(self, operator: str, detail: str = "") -> None:
         event = TraceEvent(operator, detail)
@@ -136,10 +200,12 @@ class Executor:
     def _exec_bind(self, node: BindNode) -> RowBatch:
         self._emit("BIND", f"{node.class_name}, {node.var}")
         include = node.include_classes or None
+        var = node.var
         return RowBatch([
-            {node.var: obj}
-            for obj in self.objects.iter_extent(node.class_name,
-                                                include=include)
+            {var: obj}
+            for obj in self.objects.iter_extent(
+                node.class_name, include=include,
+                fields=self._fields.get(var))
         ])
 
     def _exec_indsel(self, node: IndSelNode) -> RowBatch:
@@ -170,7 +236,7 @@ class Executor:
             or obj.class_name in node.include_classes
         ]
         return RowBatch(self.evaluator.filter_batch(
-            tuple(p.predicate for p in verify), candidates
+            self._cs(p.predicate for p in verify), candidates
         ))
 
     def _probe_index(self, index, predicate: Expr) -> set:
@@ -205,7 +271,7 @@ class Executor:
         rows = self._exec(node.input)
         self._emit("SELECT", " AND ".join(str(p) for p in node.predicates))
         return RowBatch(
-            self.evaluator.filter_batch(node.predicates, rows.rows)
+            self.evaluator.filter_batch(self._cs(node.predicates), rows.rows)
         )
 
     def _exec_named(self, node: NamedRef) -> RowBatch:
@@ -262,8 +328,12 @@ class Executor:
                     f"rows_out={rows_out})"
                 )
 
+        hops = tuple(
+            dataclasses.replace(hop, predicates=self._cs(hop.predicates))
+            for hop in node.hops
+        )
         return RowBatch(fused_traversal(
-            left.rows, node.hops, self.objects, self.evaluator,
+            left.rows, hops, self.objects, self.evaluator,
             on_hop=on_hop,
         ))
 
@@ -272,9 +342,11 @@ class Executor:
             left_rows = self._exec(node.left)
             right_rows = self._exec(node.right)
             self._emit("JOIN", f"{node.method}, {node.predicate_text}")
+            predicate = node.predicate_expr
             return RowBatch(nested_loop_join(
                 left_rows.rows, right_rows.rows,
-                node.predicate_expr, self.evaluator,
+                None if predicate is None else self._c(predicate),
+                self.evaluator,
             ))
         if node.left_var is None or node.attr is None \
                 or node.right_var is None:
@@ -302,6 +374,7 @@ class Executor:
             return RowBatch(backward_traversal(
                 left, node.left_var, node.attr, right_rows.rows,
                 node.right_var, self.objects, self.evaluator,
+                fields=self._fields.get(node.left_var),
             ))
         if node.method == "HASH_PARTITION":
             left_rows = self._exec(node.left)
@@ -372,7 +445,8 @@ class Executor:
             inner = node.input
             if isinstance(inner, BindNode):
                 return PipelinedLeaf(inner.var, inner.class_name,
-                                     inner.include_classes, node.predicates)
+                                     inner.include_classes,
+                                     self._cs(node.predicates))
         return None
 
     # -- set-level operators ------------------------------------------------------
@@ -386,47 +460,36 @@ class Executor:
         rows = self._exec(node.input)
         self._emit("PARTITION", ", ".join(str(k) for k in node.keys))
         # Group keys chase their paths over the whole batch first.
-        self.evaluator.prefetch(node.keys, rows.rows)
-        groups: dict[tuple, list[Row]] = {}
-        order: list[tuple] = []
-        for row in rows:
-            key = tuple(
-                repr(self.evaluator.value(k, row)) for k in node.keys
-            )
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row)
-        representatives = RowBatch()
-        for key in order:
-            group = groups[key]
-            representative = dict(group[0])
-            if node.having is None or self.evaluator.predicate(
-                    node.having, representative):
-                representatives.append(representative)
+        keys = self.evaluator.values_batch(self._cs(node.keys), rows.rows)
+        groups: dict[tuple, Row] = {}
+        for row, values in zip(rows, keys):
+            groups.setdefault(tuple(repr(value) for value in values), row)
+        representatives = [dict(row) for row in groups.values()]
         if node.having is not None:
+            representatives = self.evaluator.filter_batch(
+                (self._c(node.having),), representatives, prefetch=False,
+            )
             self._emit("HAVING", str(node.having))
-        return representatives
+        return RowBatch(representatives)
 
     def _exec_sort(self, node: SortNode) -> RowBatch:
         rows = self._exec(node.input)
         self._emit("SORT", ", ".join(str(k.expr) for k in node.keys))
         from repro.algebra.collection_ops import _NullsFirst
 
-        # Sort keys may traverse references; warm them batch-at-a-time.
-        self.evaluator.prefetch(
-            tuple(item.expr for item in node.keys), rows.rows
+        # Sort keys may traverse references; values_batch warms them
+        # batch-at-a-time.
+        keys = self.evaluator.values_batch(
+            self._cs(item.expr for item in node.keys), rows.rows
         )
-
-        def sort_key(row: Row):
-            parts = []
-            for item in node.keys:
-                value = self.evaluator.value(item.expr, row)
-                wrapped = _NullsFirst(value)
-                parts.append(_Reversible(wrapped, item.ascending))
-            return parts
-
-        return RowBatch(sorted(rows.rows, key=sort_key))
+        ascending = [item.ascending for item in node.keys]
+        decorated = [
+            [_Reversible(_NullsFirst(value), asc)
+             for value, asc in zip(values, ascending)]
+            for values in keys
+        ]
+        order = sorted(range(len(decorated)), key=decorated.__getitem__)
+        return RowBatch([rows.rows[index] for index in order])
 
 
 class _Reversible:
@@ -447,23 +510,60 @@ class _Reversible:
         return self.value == other.value
 
 
-def _dedup(rows: list[Row], key_vars: tuple[str, ...] | None = None) -> list[Row]:
-    seen: set = set()
-    result: list[Row] = []
-    for row in rows:
-        members = (
-            ((var, row[var].oid) for var in key_vars if var in row)
-            if key_vars is not None
-            else ((var, obj.oid) for var, obj in row.items())
-        )
-        key = tuple(sorted(members))
-        if key not in seen:
-            seen.add(key)
-            result.append(row)
-    return result
-
-
 def _literal(expr: Expr):
     if not isinstance(expr, Literal):
         raise ExecutionError(f"expected a literal, found {expr}")
     return expr.value
+
+
+def _plan_nodes(plan: QueryPlan) -> Iterator[PlanNode]:
+    """Every node of a plan, temporaries included, each once."""
+    stack: list[PlanNode] = [plan.root]
+    stack.extend(node for _, node in plan.temporaries)
+    seen: set[int] = set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        yield node
+        if isinstance(node, NamedRef) and node.plan is not None:
+            stack.append(node.plan)
+        stack.extend(node.children())
+
+
+def _node_exprs(node: PlanNode) -> Iterable[Expr]:
+    """The expressions a plan node evaluates while the plan runs
+    (projections are evaluated afterwards, over completed rows)."""
+    if isinstance(node, SelectNode):
+        return node.predicates
+    if isinstance(node, IndSelNode):
+        return [probe.predicate for probe in node.probes]
+    if isinstance(node, JoinNode):
+        return () if node.predicate_expr is None else (node.predicate_expr,)
+    if isinstance(node, FusedTraversalNode):
+        return [p for hop in node.hops for p in hop.predicates]
+    if isinstance(node, PartitionNode):
+        having = () if node.having is None else (node.having,)
+        return (*node.keys, *having)
+    if isinstance(node, SortNode):
+        return [item.expr for item in node.keys]
+    return ()
+
+
+def _node_attrs(node: PlanNode) -> Iterable[tuple[str, str]]:
+    """(variable, attribute) pairs a join node traverses."""
+    if isinstance(node, JoinNode) and node.left_var and node.attr:
+        return ((node.left_var, node.attr),)
+    if isinstance(node, FusedTraversalNode):
+        return [(hop.left_var, hop.attr) for hop in node.hops]
+    return ()
+
+
+def _merge_reads(reads: dict[str, set | None], var: str, attrs) -> None:
+    if attrs is None:
+        reads[var] = None
+        return
+    current = reads.setdefault(var, set())
+    if current is not None:
+        current.update(attrs)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from repro.algebra.collection_ops import _reference_oids
 from repro.core.errors import ExecutionError
 from repro.engine.batch import batch_deref_enabled
-from repro.engine.evaluator import ExpressionEvaluator, Row
+from repro.engine.evaluator import CompiledExpr, ExpressionEvaluator, Row
 from repro.engine.indexes import BinaryJoinIndex
 from repro.engine.objects import ObjectManager
 from repro.sql.ast import Expr
@@ -40,12 +40,12 @@ from repro.sql.ast import Expr
 @dataclass
 class PipelinedLeaf:
     """A right/left-hand side the join can evaluate object-at-a-time:
-    an extent access plus residual predicates."""
+    an extent access plus residual predicates (plain or compiled)."""
 
     var: str
     class_name: str
     include: tuple[str, ...]
-    predicates: tuple[Expr, ...]
+    predicates: tuple[Expr | CompiledExpr, ...]
 
 
 #: Single gate for the set-oriented deref fast path (see engine.batch).
@@ -84,22 +84,15 @@ def forward_traversal(
     objects: ObjectManager,
     evaluator: ExpressionEvaluator,
 ) -> list[Row]:
-    result: list[Row] = []
     if isinstance(right, PipelinedLeaf):
         chased = _chase(
             left_rows,
             lambda row: _reference_oids(row[left_var].state.get(attr)),
             objects,
         )
-        for row, targets in chased:
-            for obj in targets:
-                if right.include and obj.class_name not in right.include:
-                    continue
-                probe = {**row, right_var: obj}
-                if all(evaluator.predicate(p, probe)
-                       for p in right.predicates):
-                    result.append(probe)
-        return result
+        return _probe(chased, right.include, right.predicates, right_var,
+                      evaluator)
+    result: list[Row] = []
     by_oid: dict = {}
     for row in right:
         by_oid.setdefault(row[right_var].oid, []).append(row)
@@ -108,6 +101,24 @@ def forward_traversal(
             for right_row in by_oid.get(oid, ()):
                 result.append({**row, **right_row})
     return result
+
+
+def _probe(
+    chased,
+    include: tuple[str, ...],
+    predicates: tuple,
+    right_var: str,
+    evaluator: ExpressionEvaluator,
+) -> list[Row]:
+    """Extend each ``(row, targets)`` pair by every target of the
+    ``include`` closure that passes the residual ``predicates``."""
+    probes = (
+        {**row, right_var: obj}
+        for row, targets in chased
+        for obj in targets
+        if not include or obj.class_name in include
+    )
+    return evaluator.filter_batch(predicates, probes, prefetch=False)
 
 
 @dataclass(frozen=True)
@@ -121,7 +132,7 @@ class TraversalHop:
     right_var: str
     class_name: str
     include: tuple[str, ...]
-    predicates: tuple[Expr, ...]
+    predicates: tuple[Expr | CompiledExpr, ...]
 
 
 def fused_traversal(
@@ -161,16 +172,13 @@ def fused_traversal(
         else:
             frontier = [oid for _, oids in per_row for oid in oids]
             resolve = objects.deref
-        next_rows: list[Row] = []
-        for row, oids in per_row:
-            for oid in oids:
-                obj = resolve(oid)
-                if hop.include and obj.class_name not in hop.include:
-                    continue
-                probe = {**row, hop.right_var: obj}
-                if all(evaluator.predicate(p, probe)
-                       for p in hop.predicates):
-                    next_rows.append(probe)
+        # Unbatched, each chase happens as its probe is drawn, between
+        # the previous probe's predicates and its own.
+        chased = (
+            (row, (resolve(oid) for oid in oids)) for row, oids in per_row
+        )
+        next_rows = _probe(chased, hop.include, hop.predicates,
+                           hop.right_var, evaluator)
         if on_hop is not None:
             on_hop(hop, len(rows), len(frontier), len(next_rows))
         rows = next_rows
@@ -185,7 +193,10 @@ def backward_traversal(
     right_var: str,
     objects: ObjectManager,
     evaluator: ExpressionEvaluator,
+    fields: frozenset[str] | None = None,
 ) -> list[Row]:
+    """``fields`` restricts what the pipelined left scan decodes (the
+    attributes the plan reads of ``left.var``)."""
     by_oid: dict = {}
     for row in right_rows:
         by_oid.setdefault(row[right_var].oid, []).append(row)
@@ -197,7 +208,8 @@ def backward_traversal(
         scanned = [
             {left.var: obj}
             for obj in objects.iter_extent(left.class_name,
-                                           include=left.include or None)
+                                           include=left.include or None,
+                                           fields=fields)
         ]
         for row in evaluator.filter_batch(left.predicates, scanned):
             obj = row[left.var]
@@ -221,22 +233,15 @@ def indexed_join(
     objects: ObjectManager,
     evaluator: ExpressionEvaluator,
 ) -> list[Row]:
-    result: list[Row] = []
     if isinstance(right, PipelinedLeaf):
         chased = _chase(
             left_rows,
             lambda row: join_index.rights_of(row[left_var].oid),
             objects,
         )
-        for row, targets in chased:
-            for obj in targets:
-                if right.include and obj.class_name not in right.include:
-                    continue
-                probe = {**row, right_var: obj}
-                if all(evaluator.predicate(p, probe)
-                       for p in right.predicates):
-                    result.append(probe)
-        return result
+        return _probe(chased, right.include, right.predicates, right_var,
+                      evaluator)
+    result: list[Row] = []
     by_oid: dict = {}
     for row in right:
         by_oid.setdefault(row[right_var].oid, []).append(row)
@@ -268,27 +273,25 @@ def hash_partition_join(
                 (oid, row)
             )
     _charge_partition_passes(objects, len(left_rows))
-    result: list[Row] = []
     if isinstance(right, PipelinedLeaf):
-        for bucket in sorted(partitions):
-            pairs = sorted(partitions[bucket], key=lambda pair: pair[0])
-            # Each partition's chases are already clustered by the
-            # pointer sort; the batch gate collapses them further into
-            # one deref_many per partition.
-            fetched = (
-                objects.deref_many(oid for oid, _ in pairs)
-                if _batchable(objects) else None
-            )
-            for oid, row in pairs:
-                obj = fetched[oid] if fetched is not None \
-                    else objects.deref(oid)
-                if right.include and obj.class_name not in right.include:
-                    continue
-                probe = {**row, right_var: obj}
-                if all(evaluator.predicate(p, probe)
-                       for p in right.predicates):
-                    result.append(probe)
-        return result
+
+        def chased():
+            for bucket in sorted(partitions):
+                pairs = sorted(partitions[bucket], key=lambda pair: pair[0])
+                # Each partition's chases are already clustered by the
+                # pointer sort; the batch gate collapses them further
+                # into one deref_many per partition.
+                fetched = (
+                    objects.deref_many(oid for oid, _ in pairs)
+                    if _batchable(objects) else None
+                )
+                for oid, row in pairs:
+                    yield row, (fetched[oid] if fetched is not None
+                                else objects.deref(oid),)
+
+        return _probe(chased(), right.include, right.predicates,
+                      right_var, evaluator)
+    result: list[Row] = []
     by_oid: dict = {}
     for row in right:
         by_oid.setdefault(row[right_var].oid, []).append(row)
@@ -313,7 +316,7 @@ def _charge_partition_passes(objects: ObjectManager, num_rows: int) -> None:
 def nested_loop_join(
     left_rows: list[Row],
     right_rows: list[Row],
-    predicate: Expr | None,
+    predicate: Expr | CompiledExpr | None,
     evaluator: ExpressionEvaluator,
 ) -> list[Row]:
     candidates: list[Row] = []

@@ -54,6 +54,21 @@ from repro.storage.oid import OID
 from repro.storage.transactions import Transaction
 
 
+class PartialObject(MoodObject):
+    """A scanned object whose state holds only the attributes a plan
+    reads, with the record it was decoded from.  Partial objects live only
+    inside one plan execution: the executor completes every one that
+    survives (:meth:`ObjectManager.complete`) before rows leave it, and
+    they never enter the object cache."""
+
+    def __init__(self, oid: OID, class_name: str, state: dict,
+                 payload: bytes):
+        self.oid = oid
+        self.class_name = class_name
+        self.state = state
+        self.payload = payload
+
+
 class ObjectManager(ObjectStore):
     """Creates, reads, updates and deletes persistent MOOD objects."""
 
@@ -379,11 +394,14 @@ class ObjectManager(ObjectStore):
     def iter_extent(
         self, class_name: str, deep: bool = True,
         include: tuple[str, ...] | None = None,
+        fields: frozenset[str] | None = None,
     ) -> Iterator[MoodObject]:
         """Objects of a class extent.
 
         ``deep`` includes subclasses (IS-A); ``include`` restricts to an
-        explicit class list (the FROM clause's resolved closure)."""
+        explicit class list (the FROM clause's resolved closure).  With
+        ``fields``, each record decodes only those attributes and comes
+        back as a :class:`PartialObject` (the same charged scan I/O)."""
         if include is not None:
             classes = list(include)
         elif deep:
@@ -392,8 +410,19 @@ class ObjectManager(ObjectStore):
             classes = [class_name]
         for member in classes:
             extent = self.catalog.extent_file(member)
-            for oid, payload in self.storage.scan(extent, self.current_txn):
-                yield MoodObject(oid, member, decode(payload))
+            records = self.storage.scan(extent, self.current_txn)
+            if fields is None:
+                for oid, payload in records:
+                    yield MoodObject(oid, member, decode(payload))
+            else:
+                for oid, payload in records:
+                    yield PartialObject(oid, member,
+                                        decode(payload, fields), payload)
+
+    def complete(self, obj: PartialObject) -> MoodObject:
+        """The whole object behind a partial one, decoded from the record
+        the scan already read (no further I/O)."""
+        return MoodObject(obj.oid, obj.class_name, decode(obj.payload))
 
     def extent(self, class_name: str) -> list[MoodObject]:
         """ObjectStore protocol: the deep extent, materialised."""

@@ -9,7 +9,9 @@ List (``list``) and Reference (:class:`~repro.storage.oid.OID`).
 
 from __future__ import annotations
 
+import functools
 import struct
+from collections.abc import Collection
 from typing import Any
 
 from repro.core.errors import SerdeError
@@ -91,15 +93,112 @@ def _encode_into(value: Any, out: bytearray) -> None:
         raise SerdeError(f"cannot serialise {type(value).__name__}: {value!r}")
 
 
-def decode(data: bytes) -> Any:
-    """Deserialise bytes previously produced by :func:`encode`."""
+def decode(data: bytes, fields: Collection[str] | None = None) -> Any:
+    """Deserialise bytes previously produced by :func:`encode`.
+
+    With ``fields``, a top-level tuple keeps only the named fields: the
+    others are walked (tags, lengths, nesting) but not built, so a scan
+    that reads a few attributes skips the cost of the rest.  Every byte is
+    still accounted for, so truncated records and trailing bytes raise
+    :class:`SerdeError` exactly as a full decode does, and so do field
+    names and strings that are not valid UTF-8 (skipped ones are decoded
+    and dropped).
+    """
     try:
-        value, offset = _decode_from(data, 0)
+        if fields is None or not data or data[0] != _TAG_TUPLE:
+            value, offset = _decode_from(data, 0)
+        else:
+            keys = _field_keys(frozenset(fields))
+            value, offset = _decode_fields(data, keys)
     except (struct.error, IndexError, UnicodeDecodeError) as exc:
         raise SerdeError(f"corrupt value: {exc}") from None
     if offset != len(data):
+        if offset > len(data):
+            raise SerdeError("truncated value")
         raise SerdeError(f"{len(data) - offset} trailing bytes after value")
     return value
+
+
+#: Bytes taken by values of a fixed-width tag, tag byte included.
+_FIXED_WIDTH = {
+    _TAG_NULL: 1, _TAG_BOOL_TRUE: 1, _TAG_BOOL_FALSE: 1,
+    _TAG_INT: 1 + 8, _TAG_FLOAT: 1 + 8, _TAG_REF: 1 + 12,
+}
+
+
+@functools.lru_cache(maxsize=256)
+def _field_keys(fields: frozenset[str]) -> dict[bytes, str]:
+    """The field set's names as raw bytes, so record field names are
+    matched without decoding them (callers must not mutate the result)."""
+    return {name.encode("utf-8"): name for name in fields}
+
+
+def _decode_fields(data: bytes, keys: dict[bytes, str]) -> tuple[dict, int]:
+    """A top-level tuple restricted to the fields named by ``keys``."""
+    unpack_u32 = _U32.unpack_from
+    (count,) = _U16.unpack_from(data, 1)
+    offset = 1 + _U16.size
+    result: dict[str, Any] = {}
+    for _ in range(count):
+        (length,) = unpack_u32(data, offset)
+        offset += _U32.size
+        end = offset + length
+        raw = data[offset:end]
+        name = keys.get(raw)
+        offset = end
+        if name is not None:
+            result[name], offset = _decode_from(data, offset)
+            continue
+        raw.decode("utf-8")
+        width = _FIXED_WIDTH.get(data[offset])
+        if width is not None:
+            offset += width
+        elif data[offset] in (_TAG_STRING, _TAG_CHAR):
+            start = offset + 1 + _U32.size
+            offset = start + unpack_u32(data, offset + 1)[0]
+            data[start:offset].decode("utf-8")
+        else:
+            offset = _skip(data, offset)
+    return result, offset
+
+
+def _skip(data: bytes, offset: int) -> int:
+    """The offset just past the value at ``offset``, without building it."""
+    if offset >= len(data):
+        raise SerdeError("truncated value")
+    tag = data[offset]
+    offset += 1
+    if tag in (_TAG_NULL, _TAG_BOOL_TRUE, _TAG_BOOL_FALSE):
+        return offset
+    if tag == _TAG_INT or tag == _TAG_FLOAT:
+        offset += 8
+    elif tag in (_TAG_STRING, _TAG_CHAR):
+        (length,) = _U32.unpack_from(data, offset)
+        offset += _U32.size
+        data[offset:offset + length].decode("utf-8")
+        offset += length
+    elif tag == _TAG_REF:
+        offset += 12
+    elif tag == _TAG_TUPLE:
+        (count,) = _U16.unpack_from(data, offset)
+        offset += _U16.size
+        for _ in range(count):
+            (length,) = _U32.unpack_from(data, offset)
+            offset += _U32.size
+            data[offset:offset + length].decode("utf-8")
+            offset = _skip(data, offset + length)
+        return offset
+    elif tag in (_TAG_SET, _TAG_LIST):
+        (count,) = _U32.unpack_from(data, offset)
+        offset += _U32.size
+        for _ in range(count):
+            offset = _skip(data, offset)
+        return offset
+    else:
+        raise SerdeError(f"unknown tag 0x{tag:02x}")
+    if offset > len(data):
+        raise SerdeError("truncated value")
+    return offset
 
 
 def _decode_from(data: bytes, offset: int) -> tuple[Any, int]:

@@ -97,6 +97,11 @@ class QueryPlan:
     temporaries: list[tuple[str, PlanNode]] = field(default_factory=list)
     terms: list[TermPlanInfo] = field(default_factory=list)
     output_vars: tuple[str, ...] = ()
+    #: The query's projections, evaluated over the executed rows.
+    projections: tuple[Expr, ...] = ()
+    #: Compiled expressions by ``id(expr)`` (``engine.evaluator``),
+    #: filled on first execution and reused by every later one.
+    compiled: dict = field(default_factory=dict, repr=False, compare=False)
 
     def render(self) -> str:
         from repro.optimizer.plan import render_plan
@@ -170,7 +175,8 @@ class Planner:
             terms = to_dnf(where)
 
         plan = QueryPlan(root=BindNode("", ""),
-                         output_vars=tuple(var_classes))
+                         output_vars=tuple(var_classes),
+                         projections=tuple(query.projections))
         term_plans: list[PlanNode] = []
         for term in terms:
             info = self._plan_term(term, query, var_classes, var_includes,

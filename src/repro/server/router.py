@@ -1008,38 +1008,32 @@ class ShardedServer:
         }
         if request.get("trace") is not None:
             frame["trace"] = request["trace"]
-        if route[0] == "shard":
-            shards = [route[1]]
-        elif route[0] in ("scatter", "broadcast", "write_all"):
-            shards = list(range(self.shard_count))
-        else:
+        if route[0] == "sys":
             raise ProtocolError(
                 "EXECUTE_PREPARED cannot target SYS$SHARDS"
             )
-        merged: dict | None = None
+        shards = [route[1]] if route[0] == "shard" \
+            else range(self.shard_count)
         for shard in shards:
-            self._ensure_participant(session, shard)
             if shard not in session.prepared_on[name]:
                 self._call_checked(
                     session, shard,
                     {"op": "PREPARE", "name": name, "sql": sql},
                 )
                 session.prepared_on[name].add(shard)
-            response = self._call_checked(session, shard, frame)
-            self._m_forwarded.inc()
-            with self._mutex:
-                self._per_shard_statements[shard] += 1
-            if len(shards) == 1:
-                return response
-            for result in response.get("results", []):
-                if merged is None:
-                    merged = dict(result)
-                    merged["rows"] = list(result.get("rows", []))
-                elif "rows" in merged:
-                    merged["rows"].extend(result.get("rows", []))
+        # From here on a prepared statement fans out exactly as its ad
+        # hoc text would: same merge, same 2PC wrapping, same counters.
+        if route[0] == "shard":
+            return self._forward(session, route[1], frame)
+        if route[0] == "scatter":
+            result = self._scatter_query(
+                session, frame, session.prepared_first[name])
+        elif route[0] == "write_all":
+            result = self._broadcast_write(session, frame)
+        else:
+            result = self._broadcast(session, frame)
         return ok_response({
-            "results": [merged or _synth_result("EXECUTE")],
-            "trace": request.get("trace"),
+            "results": [result], "trace": request.get("trace"),
         })
 
     # -- distributed commit ---------------------------------------------------

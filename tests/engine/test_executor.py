@@ -326,3 +326,60 @@ def test_hand_built_plan_without_output_vars_is_unpruned(db):
     assert result.result.binding_rows
     for row in result.result.binding_rows:
         assert {"v", "d0", "d1"} <= set(row) or len(row) >= 2
+
+
+# -- compiled evaluation and projected decode ---------------------------------
+
+def _record_decodes(monkeypatch):
+    """Route the object manager's record decodes through a recorder of
+    the ``fields`` each call asked for."""
+    import repro.engine.objects as objects_module
+
+    calls = []
+    real = objects_module.decode
+
+    def recording(data, fields=None):
+        calls.append(fields)
+        return real(data, fields)
+
+    monkeypatch.setattr(objects_module, "decode", recording)
+    return calls
+
+
+def test_expressions_compile_once_per_plan(db):
+    sql = "SELECT v.id FROM Vehicle v WHERE v.weight > 1000 ORDER BY v.id"
+    first = db.query(sql)
+    compiled = dict(first.plan.compiled)
+    assert compiled
+    second = db.query(sql)
+    assert second.plan is first.plan  # a plan-cache hit...
+    assert second.plan.compiled == compiled  # ...reuses its closures
+    assert second.rows == first.rows
+
+
+def test_scan_decodes_read_attributes_and_completes_survivors(
+        db, monkeypatch):
+    from repro.engine.objects import PartialObject
+
+    target = db.extent("Vehicle")[3]
+    db.analyze()  # keep the implicit first ANALYZE's scans out of it
+    calls = _record_decodes(monkeypatch)
+    result = db.query(f"SELECT v FROM Vehicle v WHERE v.id = "
+                      f"{target.state['id']}")
+    survivors = result.binding_rows
+    assert [row["v"].oid for row in survivors] == [target.oid]
+    # The scan decoded only ``id``; the one survivor was completed.
+    assert {f for f in calls if f is not None} == {frozenset({"id"})}
+    assert calls.count(None) == 1
+    (obj,) = result.scalars()
+    assert not isinstance(obj, PartialObject)
+    assert obj.state == target.state
+
+
+def test_update_and_methods_see_whole_objects(db, monkeypatch):
+    db.analyze()
+    calls = _record_decodes(monkeypatch)
+    db.query("SELECT v.id FROM Vehicle v WHERE v.lbweight() > 2000")
+    db.execute("UPDATE Vehicle v SET weight = v.weight + 1 "
+               "WHERE v.id = 1")
+    assert calls and all(fields is None for fields in calls)

@@ -94,3 +94,54 @@ json_like = st.recursive(
 @given(json_like)
 def test_property_roundtrip(value):
     assert decode(encode(value)) == value
+
+
+records = st.dictionaries(
+    st.text(max_size=8),
+    json_like | st.sets(st.integers(-5, 5), max_size=4),
+    max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(records, st.data())
+def test_property_projected_decode(record, data):
+    """``decode(encode(v), fields=F)`` is ``v`` restricted to ``F``."""
+    names = sorted(record)
+    fields = frozenset(data.draw(
+        st.lists(st.sampled_from(names) if names else st.nothing(),
+                 max_size=len(names))
+        | st.just(["absent"])
+    ))
+    restricted = {k: v for k, v in record.items() if k in fields}
+    assert decode(encode(record), fields=fields) == restricted
+
+
+@settings(max_examples=150, deadline=None)
+@given(records, st.data())
+def test_property_projected_decode_rejects_damage(record, data):
+    """With ``fields`` given, truncated records and trailing bytes still
+    raise: the skipped values are walked, not trusted."""
+    encoded = encode(record)
+    fields = frozenset(data.draw(st.sets(st.text(max_size=8), max_size=3)))
+    cut = data.draw(st.integers(0, len(encoded) - 1))
+    with pytest.raises(SerdeError):
+        decode(encoded[:cut], fields=fields)
+    with pytest.raises(SerdeError):
+        decode(encoded + data.draw(st.binary(min_size=1, max_size=4)),
+               fields=fields)
+
+
+def test_projected_decode_rejects_invalid_utf8_in_skipped_fields():
+    """Field names and strings a projection skips are still checked."""
+    bad_value = encode({"a": 1, "b": "été"})
+    bad_value = bad_value.replace("é".encode("utf-8"), b"\xff\xfe")
+    bad_name = encode({"a": 1, "é": 2}).replace(
+        "é".encode("utf-8"), b"\xff\xfe")
+    nested = encode({"a": 1, "b": {"c": "é"}}).replace(
+        "é".encode("utf-8"), b"\xff\xfe")
+    for data in (bad_value, bad_name, nested):
+        with pytest.raises(SerdeError):
+            decode(data)
+        with pytest.raises(SerdeError):
+            decode(data, fields={"a"})

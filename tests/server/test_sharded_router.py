@@ -175,6 +175,40 @@ def test_prepared_statements_propagate_lazily(sharded):
     assert excinfo.value.code == "UNKNOWN_PREPARED"
 
 
+def test_prepared_scatter_merges_order_by_like_ad_hoc(sharded):
+    router, _, host, port = sharded
+    sql = "SELECT i.id FROM Item i ORDER BY i.id"
+    before = router.metrics.snapshot().get("shard.scatter_queries", 0)
+    with MoodClient(host, port) as client:
+        ad_hoc = client.query(sql).scalars()
+        client.prepare("ordered", sql)
+        prepared = client.execute_prepared("ordered", []).scalars()
+    assert prepared == ad_hoc == list(range(8))
+    # Both scatters are counted, the prepared one included.
+    after = router.metrics.snapshot()["shard.scatter_queries"]
+    assert after - before == 2
+
+
+def test_prepared_unhinted_write_merges_count(sharded):
+    _, _, host, port = sharded
+    with MoodClient(host, port) as client:
+        client.prepare("bump", "UPDATE Item i SET val = i.val + ?")
+        outcome = client.execute_prepared("bump", [1])
+        assert outcome.count == 8  # summed across both shards
+        rows = client.query("SELECT i.id, i.val FROM Item i").rows
+    assert sorted(rows) == [(i, i * 10 + 1) for i in range(8)]
+
+
+def test_prepared_autocommit_broadcast_write_runs_two_phase(sharded):
+    router, _, host, port = sharded
+    before = router.metrics.snapshot().get("shard.twopc_commits", 0)
+    with MoodClient(host, port) as client:
+        client.prepare("reset", "UPDATE Item i SET val = ?")
+        assert client.execute_prepared("reset", [5]).count == 8
+    after = router.metrics.snapshot()["shard.twopc_commits"]
+    assert after - before == 1
+
+
 # -- error identity across the relay -----------------------------------------
 
 def test_shard_error_passes_through_verbatim(sharded):
